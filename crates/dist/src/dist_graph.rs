@@ -2,10 +2,8 @@
 
 use crate::ownership::Ownership;
 use crate::policy::Policy;
-use kimbap_comm::wire::{encode_slice, iter_decoded};
-use kimbap_comm::HostCtx;
 use kimbap_graph::store::{EdgeIter, GraphStore, NeighborsRef, TargetIter};
-use kimbap_graph::{Graph, NodeId, Weight};
+use kimbap_graph::NodeId;
 use std::fmt;
 
 /// Identifier of a proxy node local to one host. Local ids `0..num_masters`
@@ -16,38 +14,42 @@ pub type LocalId = u32;
 /// One host's partition: a local CSR over proxy nodes, plus the metadata
 /// needed to translate ids and synchronize with other hosts.
 ///
-/// Produced by [`partition`]. The local graph contains exactly the directed
-/// edges the [`Policy`] assigned to this host; proxies exist for all owned
-/// nodes (masters, even if locally isolated) and for every non-owned
-/// endpoint of a local edge (mirrors).
+/// Produced by [`crate::partition`]. The local graph contains exactly the
+/// directed edges the [`Policy`] assigned to this host; proxies exist for
+/// all owned nodes (masters, even if locally isolated) and for every
+/// non-owned endpoint of a local edge (mirrors).
+///
+/// Equality compares every field, so two partitions are equal exactly when
+/// they hold the same proxies, edges (in the same order) and mirror lists.
+#[derive(PartialEq, Eq)]
 pub struct DistGraph {
-    host: usize,
-    ownership: Ownership,
-    policy: Policy,
+    pub(crate) host: usize,
+    pub(crate) ownership: Ownership,
+    pub(crate) policy: Policy,
     /// Global id of each local proxy; masters first, then mirrors, each
     /// sorted by global id.
-    l2g: Vec<NodeId>,
-    num_masters: usize,
+    pub(crate) l2g: Vec<NodeId>,
+    pub(crate) num_masters: usize,
     /// Local CSR over proxy ids — raw arrays or the compressed tier.
-    store: GraphStore,
+    pub(crate) store: GraphStore,
     /// Transpose of the local CSR: for each proxy, the local sources of
     /// its in-edges. Maps an updated node to the dependents that read it
     /// through `ForEdges` — the fan-in the frontier scheduler follows.
-    in_offsets: Vec<u64>,
-    in_sources: Vec<LocalId>,
+    pub(crate) in_offsets: Vec<u64>,
+    pub(crate) in_sources: Vec<LocalId>,
     /// For each peer host `h`: sorted global ids of *my masters* that have a
     /// mirror proxy on `h` (what a broadcast to `h` must cover).
-    mirrors_on_peer: Vec<Vec<NodeId>>,
+    pub(crate) mirrors_on_peer: Vec<Vec<NodeId>>,
     /// Dense global-id → mirror-slot table (`NO_MIRROR` = no mirror proxy
     /// here). Mirror slot `s` is local id `num_masters + s`. Trades one
     /// `u32` per global node for O(1) mirror resolution on the read hot
     /// path — the sorted `l2g` tail stays authoritative for iteration
     /// order and the wire format.
-    mirror_slot_of: Vec<u32>,
+    pub(crate) mirror_slot_of: Vec<u32>,
 }
 
 /// Vacant entry in [`DistGraph::mirror_slot_of`].
-const NO_MIRROR: u32 = u32::MAX;
+pub(crate) const NO_MIRROR: u32 = u32::MAX;
 
 impl DistGraph {
     /// This host's id.
@@ -271,294 +273,11 @@ impl fmt::Debug for DistGraph {
     }
 }
 
-/// Storage and placement knobs for [`partition_cfg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionCfg {
-    /// Edge-assignment policy.
-    pub policy: Policy,
-    /// Number of hosts.
-    pub hosts: usize,
-    /// Store each host's local CSR on the compressed tier.
-    pub compressed: bool,
-    /// Split the edge lists of nodes with degree above this threshold
-    /// across hosts (only for policies where [`Policy::splits_hubs`]).
-    /// `None` = no hub splitting.
-    pub hub_degree_threshold: Option<usize>,
-}
-
-impl PartitionCfg {
-    /// Raw storage, no hub splitting — the classic [`partition`] behavior.
-    pub fn new(policy: Policy, hosts: usize) -> Self {
-        PartitionCfg {
-            policy,
-            hosts,
-            compressed: false,
-            hub_degree_threshold: None,
-        }
-    }
-}
-
-/// Partitions `graph` across `num_hosts` hosts under `policy`, producing one
-/// [`DistGraph`] per host (indexed by host id). Raw storage, no hub
-/// splitting; see [`partition_cfg`] for the knobs.
-///
-/// Construction is deterministic. Like the paper, partitioning time is not
-/// part of any measured experiment, so this single-pass global construction
-/// (rather than a distributed streaming partitioner like CuSP) is a faithful
-/// substitution.
-///
-/// # Panics
-///
-/// Panics if `num_hosts == 0`.
-pub fn partition(graph: &Graph, policy: Policy, num_hosts: usize) -> Vec<DistGraph> {
-    partition_cfg(graph, &PartitionCfg::new(policy, num_hosts))
-}
-
-/// [`partition`] with storage/placement knobs: compressed local CSRs
-/// and/or degree-aware hub splitting.
-///
-/// # Panics
-///
-/// Panics if `cfg.hosts == 0`.
-pub fn partition_cfg(graph: &Graph, cfg: &PartitionCfg) -> Vec<DistGraph> {
-    let (policy, num_hosts) = (cfg.policy, cfg.hosts);
-    assert!(num_hosts > 0, "need at least one host");
-    let n = graph.num_nodes();
-    let mut own = policy.ownership(n, num_hosts);
-    if let Some(thresh) = cfg.hub_degree_threshold {
-        if policy.splits_hubs() && num_hosts > 1 {
-            let hubs: Vec<NodeId> = graph
-                .nodes()
-                .filter(|&u| graph.degree(u) > thresh)
-                .collect();
-            own = own.with_hubs(hubs);
-        }
-    }
-
-    // Pass 1: assign every directed edge to a host.
-    let mut host_edges: Vec<Vec<(NodeId, NodeId, Weight)>> = vec![Vec::new(); num_hosts];
-    for (u, v, w) in graph.all_edges() {
-        host_edges[policy.assign(&own, u, v)].push((u, v, w));
-    }
-
-    // Pass 2: build each host's local graph.
-    let mut parts: Vec<DistGraph> = host_edges
-        .into_iter()
-        .enumerate()
-        .map(|(h, edges)| build_part(h, &own, policy, &edges, cfg.compressed))
-        .collect();
-
-    // Pass 3: tell each owner which peers mirror its masters (in a real
-    // deployment this is the mirror-list exchange at partitioning time).
-    let all_mirrors: Vec<Vec<NodeId>> = parts
-        .iter()
-        .map(|p| p.mirror_globals().to_vec())
-        .collect();
-    for (peer, mirrored) in all_mirrors.iter().enumerate() {
-        for &g in mirrored {
-            let owner = own.owner(g);
-            parts[owner].mirrors_on_peer[peer].push(g);
-        }
-    }
-    for p in &mut parts {
-        for list in &mut p.mirrors_on_peer {
-            list.sort_unstable();
-        }
-    }
-    parts
-}
-
-/// Builds one host's [`DistGraph`] from the edges assigned to it, *without*
-/// the mirror-list exchange (callers fill `mirrors_on_peer`).
-fn build_part(
-    h: usize,
-    own: &Ownership,
-    policy: Policy,
-    edges: &[(NodeId, NodeId, Weight)],
-    compressed: bool,
-) -> DistGraph {
-    let num_hosts = own.num_hosts();
-    let num_masters = own.num_masters(h);
-    let mut mirrors: Vec<NodeId> = edges
-        .iter()
-        .flat_map(|&(u, v, _)| [u, v])
-        .filter(|&x| own.owner(x) != h)
-        .collect();
-    mirrors.sort_unstable();
-    mirrors.dedup();
-
-    let mut l2g: Vec<NodeId> = own.masters(h).collect();
-    l2g.extend_from_slice(&mirrors);
-
-    let to_local = |g: NodeId| -> LocalId {
-        if own.owner(g) == h {
-            own.master_offset(g) as LocalId
-        } else {
-            (num_masters + mirrors.binary_search(&g).unwrap()) as LocalId
-        }
-    };
-
-    let nl = l2g.len();
-    let mut local_edges: Vec<(LocalId, LocalId, Weight)> = edges
-        .iter()
-        .map(|&(u, v, w)| (to_local(u), to_local(v), w))
-        .collect();
-    local_edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
-    let mut offsets = vec![0u64; nl + 1];
-    for &(s, _, _) in &local_edges {
-        offsets[s as usize + 1] += 1;
-    }
-    for i in 0..nl {
-        offsets[i + 1] += offsets[i];
-    }
-    let targets: Vec<LocalId> = local_edges.iter().map(|&(_, d, _)| d).collect();
-    let weights = local_edges.iter().map(|&(_, _, w)| w).collect();
-
-    // Transpose CSR: bucket every edge by destination. Scanning edges in
-    // (s, d) order fills each destination's bucket with ascending sources.
-    let mut in_offsets = vec![0u64; nl + 1];
-    for &(_, d, _) in &local_edges {
-        in_offsets[d as usize + 1] += 1;
-    }
-    for i in 0..nl {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut in_sources = vec![0 as LocalId; targets.len()];
-    let mut cursor = in_offsets.clone();
-    for &(s, d, _) in &local_edges {
-        in_sources[cursor[d as usize] as usize] = s;
-        cursor[d as usize] += 1;
-    }
-
-    let mut mirror_slot_of = vec![NO_MIRROR; own.num_nodes()];
-    for (slot, &g) in mirrors.iter().enumerate() {
-        mirror_slot_of[g as usize] = slot as u32;
-    }
-
-    let store = GraphStore::Raw {
-        offsets,
-        targets,
-        weights,
-    };
-    let store = if compressed { store.compressed() } else { store };
-
-    DistGraph {
-        host: h,
-        ownership: own.clone(),
-        policy,
-        l2g,
-        num_masters,
-        store,
-        in_offsets,
-        in_sources,
-        mirrors_on_peer: vec![Vec::new(); num_hosts],
-        mirror_slot_of,
-    }
-}
-
-/// Distributed graph assembly: every host contributes the edges *it
-/// produced* (e.g. the coarse edges of a Louvain aggregation step); edges
-/// are routed to the hosts the `policy` assigns them to, and each host
-/// builds its own [`DistGraph`] over a global node space of `n_global`
-/// nodes, exchanging mirror lists with its peers.
-///
-/// This is the distributed analog of [`partition`] (a CuSP-style streaming
-/// partitioner): no host ever sees the whole graph. Collective — every host
-/// must call it together.
-///
-/// Duplicate edges contributed by different hosts are merged by summing
-/// weights (community-aggregation semantics).
-///
-/// # Panics
-///
-/// Panics if an edge references a node `>= n_global`.
-pub fn assemble_dist_graph(
-    ctx: &HostCtx,
-    n_global: usize,
-    policy: Policy,
-    produced_edges: Vec<(NodeId, NodeId, Weight)>,
-) -> DistGraph {
-    let num_hosts = ctx.num_hosts();
-    let host = ctx.host();
-    let own = policy.ownership(n_global, num_hosts);
-
-    // Route each produced edge to its assigned host.
-    let mut per_host: Vec<Vec<(NodeId, NodeId, Weight)>> = vec![Vec::new(); num_hosts];
-    for (u, v, w) in produced_edges {
-        assert!(
-            (u as usize) < n_global && (v as usize) < n_global,
-            "edge ({u},{v}) outside node space {n_global}"
-        );
-        per_host[policy.assign(&own, u, v)].push((u, v, w));
-    }
-    let outgoing = per_host
-        .iter()
-        .enumerate()
-        .map(|(h, edges)| {
-            if h == host {
-                Vec::new()
-            } else {
-                encode_slice(&edges.iter().map(|&(u, v, w)| (u, (v, w))).collect::<Vec<_>>())
-            }
-        })
-        .collect();
-    let received = ctx.exchange(outgoing);
-
-    // My edge set = locally produced + received; merge duplicates by sum.
-    let mut my_edges = std::mem::take(&mut per_host[host]);
-    for (h, buf) in received.iter().enumerate() {
-        if h == host {
-            continue;
-        }
-        for (u, (v, w)) in iter_decoded::<(NodeId, (NodeId, Weight))>(buf) {
-            my_edges.push((u, v, w));
-        }
-    }
-    my_edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-    my_edges.dedup_by(|next, acc| {
-        if acc.0 == next.0 && acc.1 == next.1 {
-            acc.2 += next.2;
-            true
-        } else {
-            false
-        }
-    });
-
-    // Coarse/assembled graphs stay on the raw tier with no hub table:
-    // they are rebuilt every level and read once.
-    let mut dg = build_part(host, &own, policy, &my_edges, false);
-
-    // Mirror-list exchange: tell each node's owner that we mirror it.
-    let outgoing = (0..num_hosts)
-        .map(|peer| {
-            if peer == host {
-                return Vec::new();
-            }
-            let mine: Vec<NodeId> = dg
-                .mirror_globals()
-                .iter()
-                .copied()
-                .filter(|&g| own.owner(g) == peer)
-                .collect();
-            encode_slice(&mine)
-        })
-        .collect();
-    let received = ctx.exchange(outgoing);
-    for (peer, buf) in received.iter().enumerate() {
-        if peer == host {
-            continue;
-        }
-        let mut list: Vec<NodeId> = iter_decoded::<NodeId>(buf).collect();
-        list.sort_unstable();
-        dg.mirrors_on_peer[peer] = list;
-    }
-    dg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kimbap_graph::gen;
+    use crate::{assemble_dist_graph, partition, partition_cfg, PartitionCfg};
+    use kimbap_graph::{gen, Graph};
 
     fn check_partition(g: &Graph, policy: Policy, hosts: usize) {
         let parts = partition(g, policy, hosts);
@@ -662,8 +381,7 @@ mod tests {
             for p in partition(&g, policy, 3) {
                 // Every out-edge (s, d) appears exactly once as d's
                 // in-neighbor s, and nothing else does.
-                let mut expected: Vec<Vec<LocalId>> =
-                    vec![Vec::new(); p.num_local_nodes()];
+                let mut expected: Vec<Vec<LocalId>> = vec![Vec::new(); p.num_local_nodes()];
                 for s in p.local_nodes() {
                     for &d in p.neighbors(s).iter() {
                         expected[d as usize].push(s);
@@ -678,8 +396,7 @@ mod tests {
                     );
                     assert_eq!(p.in_degree(d), expected[d as usize].len());
                 }
-                let total_in: usize =
-                    p.local_nodes().map(|l| p.in_degree(l)).sum();
+                let total_in: usize = p.local_nodes().map(|l| p.in_degree(l)).sum();
                 assert_eq!(total_in, p.num_local_edges());
             }
         }
@@ -726,12 +443,8 @@ mod tests {
     fn assemble_merges_duplicate_edges() {
         // Both hosts contribute the same edge; weights must sum.
         let out = kimbap_comm::Cluster::new(2).run(|ctx| {
-            let dg = assemble_dist_graph(
-                ctx,
-                4,
-                Policy::EdgeCutBlocked,
-                vec![(0, 1, 5), (1, 0, 5)],
-            );
+            let dg =
+                assemble_dist_graph(ctx, 4, Policy::EdgeCutBlocked, vec![(0, 1, 5), (1, 0, 5)]);
             if ctx.host() == 0 {
                 let l0 = dg.global_to_local(0).unwrap();
                 dg.edges(l0).collect::<Vec<_>>()
@@ -835,9 +548,7 @@ mod tests {
         let g = b.symmetric(true).build();
         let no_hub = partition(&g, Policy::EdgeCutBlocked, 4);
         let hub = partition_cfg(&g, &hub_cfg(4, 16));
-        let max_edges = |ps: &[DistGraph]| {
-            ps.iter().map(|p| p.num_local_edges()).max().unwrap()
-        };
+        let max_edges = |ps: &[DistGraph]| ps.iter().map(|p| p.num_local_edges()).max().unwrap();
         assert!(
             max_edges(&hub) * 2 < max_edges(&no_hub),
             "hub {} vs no-hub {}",

@@ -20,8 +20,7 @@
 //!   mirror lists each host needs to broadcast master values.
 //!
 //! Partitioning happens up front via [`partition`], which builds every
-//! host's `DistGraph` in one pass — the paper likewise excludes graph
-//! loading/partitioning from all measurements.
+//! host's `DistGraph` in time linear in the graph, one host per thread.
 //!
 //! # Example
 //!
@@ -39,10 +38,10 @@
 
 pub mod dist_graph;
 pub mod ownership;
+pub mod partitioner;
 pub mod policy;
 
-pub use dist_graph::{
-    assemble_dist_graph, partition, partition_cfg, DistGraph, LocalId, PartitionCfg,
-};
+pub use dist_graph::{DistGraph, LocalId};
 pub use ownership::{Ownership, Scheme};
+pub use partitioner::{assemble_dist_graph, partition, partition_cfg, PartitionCfg};
 pub use policy::Policy;

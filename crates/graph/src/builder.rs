@@ -1,6 +1,7 @@
 //! Edge-list builder that normalizes input into CSR form.
 
 use crate::csr::{Graph, NodeId, Weight};
+use std::collections::TryReserveError;
 
 /// How parallel edges (same source and destination) are merged by
 /// [`GraphBuilder::build`].
@@ -97,7 +98,25 @@ impl GraphBuilder {
     ///
     /// The node count is `max(ensure_nodes, 1 + max node id referenced)`;
     /// building with no edges and no `ensure_nodes` yields the empty graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node count's offset array cannot be allocated; see
+    /// [`GraphBuilder::try_build`].
     pub fn build(&mut self) -> Graph {
+        self.try_build()
+            .unwrap_or_else(|e| panic!("graph too large to build: {e}"))
+    }
+
+    /// [`GraphBuilder::build`], failing instead of aborting when the node
+    /// count's offset array (8 bytes per node) cannot be allocated — one
+    /// edge naming node `4294967295` asks for 32 GiB. The collected edges
+    /// are consumed either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error for the offset array.
+    pub fn try_build(&mut self) -> Result<Graph, TryReserveError> {
         let mut edges = std::mem::take(&mut self.edges);
         if self.symmetric {
             let rev: Vec<_> = edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
@@ -109,6 +128,8 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_nodes);
+        let mut offsets = Vec::new();
+        offsets.try_reserve_exact(n.saturating_add(1))?;
 
         edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
         // Merge parallel edges in place.
@@ -125,7 +146,7 @@ impl GraphBuilder {
             }
         }
 
-        let mut offsets = vec![0u64; n + 1];
+        offsets.resize(n + 1, 0u64);
         for &(s, _, _) in &merged {
             offsets[s as usize + 1] += 1;
         }
@@ -134,7 +155,7 @@ impl GraphBuilder {
         }
         let targets = merged.iter().map(|&(_, d, _)| d).collect();
         let weights = merged.iter().map(|&(_, _, w)| w).collect();
-        Graph::from_csr(offsets, targets, weights)
+        Ok(Graph::from_csr(offsets, targets, weights))
     }
 }
 

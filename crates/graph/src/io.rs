@@ -30,7 +30,9 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed lines and propagates I/O errors.
+/// Returns `InvalidData` for malformed lines, `OutOfMemory` when the node
+/// count the file implies (its `# nodes` header or its largest node id)
+/// cannot be allocated, and propagates I/O errors.
 pub fn read_edge_list<R: BufRead>(r: R) -> io::Result<Graph> {
     let mut b = GraphBuilder::new();
     for (lineno, line) in r.lines().enumerate() {
@@ -62,7 +64,12 @@ pub fn read_edge_list<R: BufRead>(r: R) -> io::Result<Graph> {
         };
         b.add_edge(u, v, w);
     }
-    Ok(b.build())
+    b.try_build().map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::OutOfMemory,
+            format!("edge list names more nodes than fit in memory: {e}"),
+        )
+    })
 }
 
 fn bad(lineno: usize, line: &str) -> io::Error {
@@ -109,48 +116,85 @@ pub fn write_binary<W: Write>(g: &Graph, mut w: W) -> io::Result<()> {
 
 /// Reads a graph written by [`write_binary`].
 ///
+/// The header's counts are not trusted: every array grows only as its
+/// bytes arrive, so a header claiming more than the input holds fails
+/// after allocating about as much as was read.
+///
 /// # Errors
 ///
-/// Returns `InvalidData` on a bad magic number or truncated/inconsistent
-/// arrays, and propagates I/O errors.
+/// Returns `InvalidData` on a bad magic number, on arrays shorter than the
+/// header claims, and on inconsistent arrays (offsets not starting at 0,
+/// decreasing, or not ending at the edge count; a target out of range), and
+/// propagates other I/O errors.
 pub fn read_binary<R: Read>(mut r: R) -> io::Result<Graph> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a kimbap binary graph (bad magic)",
-        ));
+        return Err(invalid("not a kimbap binary graph (bad magic)"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)?);
-    }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        let mut b = [0u8; 4];
-        r.read_exact(&mut b)?;
-        targets.push(u32::from_le_bytes(b));
-    }
-    let mut weights = Vec::with_capacity(m);
-    for _ in 0..m {
-        weights.push(read_u64(&mut r)?);
-    }
-    if offsets.last().copied() != Some(m as u64) || targets.iter().any(|&t| t as usize >= n) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "inconsistent CSR arrays",
-        ));
+    let n = read_u64(&mut r)?;
+    let m = read_u64(&mut r)?;
+    let offsets = read_array(&mut r, n.saturating_add(1), "offsets", u64::from_le_bytes)?;
+    let targets = read_array(&mut r, m, "targets", u32::from_le_bytes)?;
+    let weights = read_array(&mut r, m, "weights", u64::from_le_bytes)?;
+    if offsets[0] != 0
+        || offsets.last() != Some(&m)
+        || offsets.windows(2).any(|w| w[0] > w[1])
+        || targets.iter().any(|&t| u64::from(t) >= n)
+    {
+        return Err(invalid("inconsistent CSR arrays"));
     }
     Ok(Graph::from_csr(offsets, targets, weights))
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// Reads `count` little-endian values of `N` bytes each, in 64 KiB chunks.
+/// The vector never reserves past what the bytes read so far can fill
+/// (it at most doubles), nor past `count`, so it ends exactly `count`
+/// long and a `count` the input cannot back costs no large allocation.
+fn read_array<R: Read, T, const N: usize>(
+    r: &mut R,
+    count: u64,
+    what: &str,
+    decode: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    const CHUNK: usize = 1 << 16;
+    let truncated = || {
+        invalid(format!(
+            "truncated {what} array (header claims {count} entries)"
+        ))
+    };
+    let count = usize::try_from(count).map_err(|_| truncated())?;
+    let mut out: Vec<T> = Vec::new();
+    let mut buf = vec![0u8; CHUNK.min(count.saturating_mul(N))];
+    while out.len() < count {
+        let take = (count - out.len()).min(CHUNK / N);
+        let bytes = &mut buf[..take * N];
+        r.read_exact(bytes).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => truncated(),
+            _ => e,
+        })?;
+        if out.capacity() - out.len() < take {
+            let grow = out.len().min(count - out.len()).max(take);
+            out.try_reserve_exact(grow)
+                .map_err(|e| io::Error::new(io::ErrorKind::OutOfMemory, e.to_string()))?;
+        }
+        out.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|c| decode(c.try_into().expect("chunks are N bytes"))),
+        );
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -217,6 +261,54 @@ mod tests {
     fn binary_rejects_bad_magic() {
         let err = read_binary(&b"NOTAGRAPH_______"[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// `g`'s `.kg` bytes with the header's node and edge counts replaced.
+    fn with_counts(g: &Graph, n: u64, m: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_binary(g, &mut buf).unwrap();
+        buf[8..16].copy_from_slice(&n.to_le_bytes());
+        buf[16..24].copy_from_slice(&m.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn binary_rejects_inflated_header_without_allocating_it() {
+        let g = gen::grid_road(4, 4, 0);
+        let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
+        // 2^40 nodes would be an 8 TiB offset array; u64::MAX overflows.
+        for (hn, hm) in [
+            (1 << 40, m),
+            (u64::MAX, m),
+            (n, 1 << 40),
+            (n, u64::MAX),
+            (n + 1, m),
+        ] {
+            let err = read_binary(&with_counts(&g, hn, hm)[..]).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "n={hn} m={hm}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn binary_rejects_non_monotone_offsets() {
+        let g = gen::grid_road(4, 4, 0);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // Offset 3 (bytes 24 + 3*8) past the edge count: offsets decrease.
+        let at = 24 + 3 * 8;
+        buf[at..at + 8].copy_from_slice(&(g.num_edges() as u64 + 1).to_le_bytes());
+        let err = read_binary(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn edge_list_rejects_unallocatable_node_count() {
+        let err = read_edge_list("# nodes 18446744073709551615\n0 1\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for graph construction invariants.
 
 use kimbap_graph::builder::{from_edges, MergePolicy};
-use kimbap_graph::{gen, GraphBuilder};
+use kimbap_graph::{gen, io, GraphBuilder};
 use proptest::prelude::*;
 
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
@@ -120,5 +120,68 @@ proptest! {
             );
         }
         prop_assert_eq!(c.total_weight(), g.total_weight());
+    }
+}
+
+/// `g` in the `.kg` binary format.
+fn kg_bytes(g: &kimbap_graph::Graph) -> Vec<u8> {
+    let mut buf = Vec::new();
+    io::write_binary(g, &mut buf).unwrap();
+    buf
+}
+
+proptest! {
+    /// Hostile input never panics or aborts the `.kg` reader: truncating a
+    /// valid file at any point, inflating a header count (up to 2^40 and
+    /// u64::MAX, which must not be allocated up front), making the offsets
+    /// decrease, or feeding garbage with or without the magic all yield a
+    /// clean `Err`; bit flips yield `Ok` or `Err`, never a panic. The
+    /// untouched file still round-trips.
+    #[test]
+    fn binary_reader_survives_truncation_and_garbage(
+        edges in edge_list(),
+        cut in 0usize..100_000,
+        field in 0usize..2,
+        inflate in 0u64..u64::MAX,
+        shift in 0u32..64,
+        at in 0usize..100_000,
+        flips in prop::collection::vec((0usize..100_000, 0u8..=255), 0..8),
+        garbage in prop::collection::vec(0u8..=255, 0..96),
+    ) {
+        let g = from_edges(edges);
+        let kg = kg_bytes(&g);
+        prop_assert!(io::read_binary(&kg[..]).unwrap() == g);
+        let (n, m) = (g.num_nodes() as u64, g.num_edges() as u64);
+
+        prop_assert!(io::read_binary(&kg[..cut % kg.len()]).is_err());
+
+        // A count larger than the file holds: anything from one past the
+        // real count to u64::MAX (`shift` spreads the draws over every
+        // magnitude).
+        let real = if field == 0 { n } else { m };
+        let claimed = real.saturating_add(1).max(inflate >> shift);
+        let mut inflated = kg.clone();
+        let range = 8 + 8 * field..16 + 8 * field;
+        inflated[range].copy_from_slice(&claimed.to_le_bytes());
+        prop_assert!(io::read_binary(&inflated[..]).is_err());
+
+        // Some offset pushed past the edge count.
+        if n > 0 {
+            let mut decreasing = kg.clone();
+            let pos = 24 + 8 * (at % n as usize);
+            decreasing[pos..pos + 8].copy_from_slice(&(m + 1).to_le_bytes());
+            prop_assert!(io::read_binary(&decreasing[..]).is_err());
+        }
+
+        let mut mangled = kg.clone();
+        for &(pos, mask) in &flips {
+            mangled[pos % kg.len()] ^= mask;
+        }
+        let _ = io::read_binary(&mangled[..]);
+
+        prop_assert!(io::read_binary(&garbage[..]).is_err());
+        let mut behind_magic = b"KIMBAPG1".to_vec();
+        behind_magic.extend_from_slice(&garbage);
+        prop_assert!(io::read_binary(&behind_magic[..]).is_err());
     }
 }

@@ -1271,14 +1271,18 @@ fn cmd_run(args: &[String]) -> CliResult {
     // requested member count: the cluster starts computing on --hosts
     // members and grows into the spare when the joiner knocks.
     let capacity = if faults == "join" { hosts + 1 } else { hosts };
+    let t = Instant::now();
     let g = load_graph(&path)?;
+    let load = t.elapsed();
     println!("input: {}", GraphStats::of(&g));
 
     let policy = match algo.as_str() {
         "louvain" | "leiden" => Policy::EdgeCutBlocked,
         _ => Policy::CartesianVertexCut,
     };
+    let t = Instant::now();
     let parts = partition_cfg(&g, &store.cfg(policy, hosts));
+    let partition = t.elapsed();
     println!(
         "storage: {} ({} local bytes over {hosts} host(s))",
         if store.compressed { "compressed" } else { "raw" },
@@ -1399,6 +1403,12 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
         other => return Err(format!("unknown algorithm '{other}'")),
     }
+    println!(
+        "time: load {:.4} s, partition {:.4} s, solve {:.4} s",
+        load.as_secs_f64(),
+        partition.as_secs_f64(),
+        t.elapsed().as_secs_f64()
+    );
     Ok(())
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: build, full test suite, lints, the fixed-seed
-# fault-injection matrix (3 plans x 4 algorithms on the simulation
-# backend; see crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke),
-# and a seed-replayable simulation fuzz smoke.
+# Tier-1 CI gate: build, full test suite, the benchmark's own tests, lints,
+# the fixed-seed fault-injection matrix (3 plans x 4 algorithms on the
+# simulation backend; see
+# crates/kimbap/tests/fault_injection.rs::fault_matrix_smoke), and a
+# seed-replayable simulation fuzz smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,9 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> benchmark tests (labels vs serial reference, stream determinism)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
