@@ -8,7 +8,7 @@
 use crate::builder::MapBuilder;
 use kimbap_comm::HostCtx;
 use kimbap_dist::DistGraph;
-use kimbap_npm::{BoolReducer, Min, NodePropMap};
+use kimbap_npm::{BoolReducer, Frontier, Min, NodePropMap};
 use kimbap_graph::NodeId;
 
 /// Collects `(global id, value)` for every master on this host.
@@ -24,45 +24,69 @@ pub(crate) fn collect_masters<M: NodePropMap<u64>>(
         .collect()
 }
 
-/// Label propagation: push the node's label to every neighbor, keep the
-/// minimum, repeat until quiescent. Adjacent-vertex only, so the compiler
-/// (and this hand mirror of its output) pins mirrors and elides requests.
+/// Label propagation (the paper's CC-LP): every proxy pushes its label to
+/// its out-neighbors, which keep the minimum; repeat until no label
+/// changes. Adjacent-vertex only, so mirrors are pinned once and refreshed
+/// by broadcast, and no request phase runs.
+///
+/// Rounds are data-driven (Pregel's vote-to-halt): the first round, right
+/// after pinning, visits every proxy; each later round visits only the
+/// proxies whose label changed in the round before, read from the map's
+/// [`NodePropMap::changed_keys`] delta into a [`Frontier`]. A map that
+/// cannot vouch for a complete delta ([`kimbap_npm::ChangedKeys::Untracked`]:
+/// the non-partition-aware variants, the memcached-like store) runs every
+/// round dense.
+///
+/// Skipping is sound without activating in-neighbors because labels only
+/// fall under [`Min`] and the push is guarded by a read of its own
+/// target. A proxy `u` whose label did not change in round `r` either
+/// ran in round `r`, so after the sync every out-neighbor holds at most
+/// `L(u)`, or was skipped in round `r` because that already held. Labels
+/// never rise, so in round `r + 1` the guard `L(u) < L(dst)` is false on
+/// every edge of `u`: visiting it would reduce nothing. Every round thus
+/// issues exactly the reductions of a dense round — same labels, same
+/// round count, same traffic — and only idle visits are skipped.
+///
+/// Each round reports its visited and dense node counts through
+/// [`HostCtx::add_parfor_activity`].
 ///
 /// Returns this host's master labels. Collective.
 pub fn cc_lp<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, u64)> {
     let mut label = b.build::<u64, Min>(dg, ctx, Min);
     label.init_masters(&|g| g as u64);
     label.pin_mirrors(ctx);
+    let n = dg.num_local_nodes();
+    let mut frontier = Frontier::dense(n);
     loop {
         // Publish the BSP round so fault plans can target it.
         ctx.set_round(ctx.current_round() + 1);
         label.reset_updated();
         let l = &label;
-        ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
-            for lid in range {
-                let lid = lid as u32;
-                // One block lookup serves both the skip test and the scan
-                // (degree() would decode the compressed header twice), and
-                // targets() skips weight bytes entirely — CC never reads
-                // them.
-                let targets = dg.targets(lid);
-                if targets.len() == 0 {
-                    continue;
-                }
-                let my = l.read(dg.local_to_global(lid));
-                targets.for_each(|dst| {
-                    let dst_g = dg.local_to_global(dst);
-                    if my < l.read(dst_g) {
-                        l.reduce(tid, dst_g, my);
-                    }
-                });
+        frontier.par_for(ctx, |tid, lid| {
+            // One block lookup serves both the skip test and the scan
+            // (degree() would decode the compressed header twice), and
+            // targets() skips weight bytes entirely — CC never reads them.
+            let targets = dg.targets(lid);
+            if targets.len() == 0 {
+                return;
             }
+            let my = l.read(dg.local_to_global(lid));
+            targets.for_each(|dst| {
+                let dst_g = dg.local_to_global(dst);
+                if my < l.read(dst_g) {
+                    l.reduce(tid, dst_g, my);
+                }
+            });
         });
+        ctx.add_parfor_activity(frontier.len() as u64, n as u64, frontier.is_sparse());
         label.reduce_sync(ctx);
         label.broadcast_sync(ctx);
         if !label.is_updated(ctx) {
             break;
         }
+        // The delta of the round just synced, taken before the next
+        // `reset_updated` opens a new window.
+        frontier = Frontier::from_changed(label.changed_keys(), dg, n);
     }
     label.unpin_mirrors();
     collect_masters(&label, dg)
@@ -244,8 +268,8 @@ mod tests {
     use crate::builder::NpmBuilder;
     use crate::merge_master_values;
     use crate::refcheck;
-    use kimbap_comm::Cluster;
-    use kimbap_dist::{partition, Policy};
+    use kimbap_comm::{Cluster, HostStats};
+    use kimbap_dist::{partition, partition_cfg, PartitionCfg, Policy};
     use kimbap_graph::{gen, Graph};
     use kimbap_npm::Variant;
 
@@ -320,6 +344,131 @@ mod tests {
         }
         let g = b.symmetric(true).build();
         check_graph(&g, 2, 2, Policy::EdgeCutBlocked);
+    }
+
+    /// The label propagation `cc_lp` replaced: every round visits every
+    /// proxy. The oracle for the frontier's differential test.
+    fn cc_lp_dense<B: MapBuilder>(dg: &DistGraph, ctx: &HostCtx, b: &B) -> Vec<(NodeId, u64)> {
+        let mut label = b.build::<u64, Min>(dg, ctx, Min);
+        label.init_masters(&|g| g as u64);
+        label.pin_mirrors(ctx);
+        loop {
+            ctx.set_round(ctx.current_round() + 1);
+            label.reset_updated();
+            let l = &label;
+            ctx.par_for(0..dg.num_local_nodes(), |tid, range| {
+                for lid in range {
+                    let lid = lid as u32;
+                    let my = l.read(dg.local_to_global(lid));
+                    dg.targets(lid).for_each(|dst| {
+                        let dst_g = dg.local_to_global(dst);
+                        if my < l.read(dst_g) {
+                            l.reduce(tid, dst_g, my);
+                        }
+                    });
+                }
+            });
+            label.reduce_sync(ctx);
+            label.broadcast_sync(ctx);
+            if !label.is_updated(ctx) {
+                break;
+            }
+        }
+        label.unpin_mirrors();
+        collect_masters(&label, dg)
+    }
+
+    /// Merged labels, round count, and cluster-wide stats of one run.
+    fn run_counted(
+        g: &Graph,
+        parts: &[DistGraph],
+        threads: usize,
+        b: &NpmBuilder,
+        algo: fn(&DistGraph, &HostCtx, &NpmBuilder) -> Vec<(NodeId, u64)>,
+    ) -> (Vec<u64>, u64, HostStats) {
+        let per_host = Cluster::with_threads(parts.len(), threads).run(|ctx| {
+            let labels = algo(&parts[ctx.host()], ctx, b);
+            (labels, ctx.current_round(), ctx.stats())
+        });
+        let rounds = per_host[0].1;
+        assert!(
+            per_host.iter().all(|h| h.1 == rounds),
+            "hosts disagree on rounds"
+        );
+        let mut stats = HostStats::default();
+        for h in &per_host {
+            stats.merge(&h.2);
+        }
+        let labels =
+            merge_master_values(g.num_nodes(), per_host.into_iter().map(|h| h.0).collect());
+        (labels, rounds, stats)
+    }
+
+    #[test]
+    fn frontier_cc_lp_matches_dense_reference() {
+        let mut b = kimbap_graph::GraphBuilder::new();
+        for i in (0..30u32).step_by(3) {
+            b.add_edge(i, i + 1, 1).add_edge(i + 1, i + 2, 1);
+        }
+        b.ensure_nodes(40); // nodes 30..40 are isolated
+        let graphs = [
+            ("rmat", gen::rmat(7, 4, 11)),
+            ("grid", gen::grid_road(9, 7, 2)),
+            ("disconnected", b.symmetric(true).build()),
+        ];
+        let policies = [
+            Policy::EdgeCutBlocked,
+            Policy::EdgeCutIncoming,
+            Policy::EdgeCutHashed,
+            Policy::CartesianVertexCut,
+        ];
+        for (name, g) in &graphs {
+            let expected = refcheck::connected_components(g);
+            for policy in policies {
+                for hosts in 1..=4 {
+                    for compressed in [false, true] {
+                        let cfg = PartitionCfg {
+                            compressed,
+                            ..PartitionCfg::new(policy, hosts)
+                        };
+                        let parts = partition_cfg(g, &cfg);
+                        for threads in 1..=3 {
+                            for variant in [Variant::SgrOnly, Variant::SgrCf, Variant::SgrCfGar] {
+                                let case = format!(
+                                    "{name} {policy:?} {hosts}x{threads} compressed={compressed} {variant}"
+                                );
+                                let b = NpmBuilder::new(variant);
+                                let (labels, rounds, stats) =
+                                    run_counted(g, &parts, threads, &b, cc_lp);
+                                let (ref_labels, ref_rounds, ref_stats) =
+                                    run_counted(g, &parts, threads, &b, cc_lp_dense);
+                                assert_eq!(ref_labels, expected, "{case}: reference");
+                                assert_eq!(labels, expected, "{case}");
+                                assert_eq!(rounds, ref_rounds, "{case}: rounds");
+                                assert_eq!(
+                                    (stats.bytes, stats.messages),
+                                    (ref_stats.bytes, ref_stats.messages),
+                                    "{case}: traffic"
+                                );
+                                let proxies: u64 =
+                                    parts.iter().map(|p| p.num_local_nodes() as u64).sum();
+                                assert_eq!(stats.parfor_nodes, proxies * rounds, "{case}");
+                                if variant.partition_aware() {
+                                    assert_eq!(stats.sparse_rounds, rounds - 1, "{case}");
+                                    if *name == "grid" {
+                                        assert!(stats.active_nodes < stats.parfor_nodes, "{case}");
+                                    }
+                                } else {
+                                    // No delta to read: every round dense.
+                                    assert_eq!(stats.sparse_rounds, 0, "{case}");
+                                    assert_eq!(stats.active_nodes, stats.parfor_nodes, "{case}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

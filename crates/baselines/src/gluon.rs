@@ -138,6 +138,12 @@ impl<'g> GluonMinProp<'g> {
 /// Gluon-style push CC-LP: atomically min-propagate labels to neighbor
 /// proxies, then reduce/broadcast changed values. Returns this host's
 /// master labels. Collective.
+///
+/// Topology-driven: every round visits every local proxy. Kimbap's
+/// `kimbap_algos::cc::cc_lp` visits only the proxies whose label changed
+/// in the round before, so a comparison of the two (fig9 panel (c),
+/// `CC/gluon-lp` against `CC/kimbap-lp`) includes that frontier, not just
+/// the map runtime.
 pub fn cc_lp(dg: &DistGraph, ctx: &HostCtx) -> Vec<(NodeId, u64)> {
     let mut label = GluonMinProp::new(dg, |g| g as u64);
     loop {

@@ -2,6 +2,40 @@
 
 use crate::csr::{Graph, NodeId, Weight};
 use std::collections::TryReserveError;
+use std::fmt;
+
+/// Why [`GraphBuilder::try_build`] could not build a graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildError {
+    /// The node count's offset array (8 bytes per node) could not be
+    /// allocated.
+    OutOfMemory(TryReserveError),
+    /// Parallel `src -> dst` edges whose weights, summed under
+    /// [`MergePolicy::SumWeights`], overflow [`Weight`].
+    WeightOverflow {
+        /// Source of the parallel edges.
+        src: NodeId,
+        /// Destination of the parallel edges.
+        dst: NodeId,
+    },
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::OutOfMemory(e) => write!(f, "more nodes than fit in memory: {e}"),
+            BuildError::WeightOverflow { src, dst } => {
+                write!(
+                    f,
+                    "parallel edges {src} -> {dst} sum to more than {}",
+                    Weight::MAX
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
 
 /// How parallel edges (same source and destination) are merged by
 /// [`GraphBuilder::build`].
@@ -101,22 +135,26 @@ impl GraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the node count's offset array cannot be allocated; see
+    /// Panics if the node count's offset array cannot be allocated or
+    /// summed parallel-edge weights overflow; see
     /// [`GraphBuilder::try_build`].
     pub fn build(&mut self) -> Graph {
         self.try_build()
-            .unwrap_or_else(|e| panic!("graph too large to build: {e}"))
+            .unwrap_or_else(|e| panic!("cannot build graph: {e}"))
     }
 
-    /// [`GraphBuilder::build`], failing instead of aborting when the node
-    /// count's offset array (8 bytes per node) cannot be allocated — one
-    /// edge naming node `4294967295` asks for 32 GiB. The collected edges
-    /// are consumed either way.
+    /// [`GraphBuilder::build`], failing instead of aborting or panicking
+    /// on input the caller does not control: one edge naming node
+    /// `4294967295` asks for a 32 GiB offset array, and two parallel edges
+    /// of weight `u64::MAX` overflow their sum. The collected edges are
+    /// consumed either way.
     ///
     /// # Errors
     ///
-    /// Returns the allocator's error for the offset array.
-    pub fn try_build(&mut self) -> Result<Graph, TryReserveError> {
+    /// [`BuildError::OutOfMemory`] when the offset array cannot be
+    /// allocated, [`BuildError::WeightOverflow`] when summed parallel-edge
+    /// weights overflow.
+    pub fn try_build(&mut self) -> Result<Graph, BuildError> {
         let mut edges = std::mem::take(&mut self.edges);
         if self.symmetric {
             let rev: Vec<_> = edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
@@ -129,7 +167,9 @@ impl GraphBuilder {
             .unwrap_or(0)
             .max(self.min_nodes);
         let mut offsets = Vec::new();
-        offsets.try_reserve_exact(n.saturating_add(1))?;
+        offsets
+            .try_reserve_exact(n.saturating_add(1))
+            .map_err(BuildError::OutOfMemory)?;
 
         edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
         // Merge parallel edges in place.
@@ -138,7 +178,10 @@ impl GraphBuilder {
             match merged.last_mut() {
                 Some(last) if last.0 == s && last.1 == d => {
                     last.2 = match self.merge {
-                        MergePolicy::SumWeights => last.2 + w,
+                        MergePolicy::SumWeights => last
+                            .2
+                            .checked_add(w)
+                            .ok_or(BuildError::WeightOverflow { src: s, dst: d })?,
                         MergePolicy::MinWeight => last.2.min(w),
                     };
                 }

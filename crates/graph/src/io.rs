@@ -2,7 +2,7 @@
 //! SNAP / WebDataCommons dumps the paper's inputs ship as) and a compact
 //! binary CSR format for fast reloads.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{BuildError, GraphBuilder};
 use crate::csr::{Graph, NodeId, Weight};
 use std::io::{self, BufRead, Read, Write};
 
@@ -25,16 +25,25 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> io::Result<()> {
 /// to 1; lines starting with `#` or `%` are comments, except the
 /// `# nodes <n>` header).
 ///
+/// A `# nodes <n>` header declares the node count: it keeps isolated
+/// nodes, and every node id in the file must be below it. Without a
+/// header the count is one past the largest id.
+///
 /// The graph is **not** symmetrized — load exactly what the file says and
 /// symmetrize with [`GraphBuilder`] if needed.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed lines, `OutOfMemory` when the node
-/// count the file implies (its `# nodes` header or its largest node id)
-/// cannot be allocated, and propagates I/O errors.
+/// Returns `InvalidData` for malformed lines, a header above 2^32 nodes
+/// (node ids are `u32`), a node id at or past the header's count, and
+/// parallel edges whose summed weight overflows `u64`; `OutOfMemory` when
+/// the node count cannot be allocated; and propagates I/O errors.
 pub fn read_edge_list<R: BufRead>(r: R) -> io::Result<Graph> {
     let mut b = GraphBuilder::new();
+    // The declared node count, and the largest id seen so far (checked
+    // against a header that comes after the edges).
+    let mut declared: Option<u64> = None;
+    let mut max_id: Option<NodeId> = None;
     for (lineno, line) in r.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -42,33 +51,37 @@ pub fn read_edge_list<R: BufRead>(r: R) -> io::Result<Graph> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("# nodes ") {
-            let n: usize = rest.trim().parse().map_err(|_| bad(lineno, line))?;
-            b.ensure_nodes(n);
+            let n: u64 = rest.trim().parse().map_err(|_| bad(lineno, line))?;
+            if n > 1 << 32 || max_id.is_some_and(|id| id as u64 >= n) {
+                return Err(bad(lineno, line));
+            }
+            let n = declared.map_or(n, |d| d.max(n));
+            declared = Some(n);
+            b.ensure_nodes(n as usize);
             continue;
         }
         if line.starts_with('#') || line.starts_with('%') {
             continue;
         }
         let mut it = line.split_whitespace();
-        let u: NodeId = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad(lineno, line))?;
-        let v: NodeId = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad(lineno, line))?;
+        let mut id = || -> Option<NodeId> {
+            let id: NodeId = it.next()?.parse().ok()?;
+            declared.is_none_or(|n| (id as u64) < n).then_some(id)
+        };
+        let (u, v) = id().zip(id()).ok_or_else(|| bad(lineno, line))?;
         let w: Weight = match it.next() {
             Some(t) => t.parse().map_err(|_| bad(lineno, line))?,
             None => 1,
         };
+        max_id = max_id.max(Some(u.max(v)));
         b.add_edge(u, v, w);
     }
     b.try_build().map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::OutOfMemory,
-            format!("edge list names more nodes than fit in memory: {e}"),
-        )
+        let kind = match e {
+            BuildError::OutOfMemory(_) => io::ErrorKind::OutOfMemory,
+            BuildError::WeightOverflow { .. } => io::ErrorKind::InvalidData,
+        };
+        io::Error::new(kind, format!("edge list cannot be loaded: {e}"))
     })
 }
 
@@ -307,8 +320,36 @@ mod tests {
 
     #[test]
     fn edge_list_rejects_unallocatable_node_count() {
-        let err = read_edge_list("# nodes 18446744073709551615\n0 1\n".as_bytes()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
+        // Past the u32 id space: rejected before anything is allocated.
+        for n in [u64::MAX, (1 << 32) + 1] {
+            let err = read_edge_list(format!("# nodes {n}\n0 1\n").as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{n}: {err}");
+        }
+    }
+
+    #[test]
+    fn edge_list_bounds_ids_by_the_header() {
+        let g = read_edge_list("# nodes 5\n0 4\n".as_bytes()).unwrap();
+        assert_eq!(g.num_nodes(), 5);
+        for text in [
+            "# nodes 5\n0 5\n",
+            "0 5\n# nodes 5\n",
+            "# nodes 5\n4294967295 0\n",
+        ] {
+            let err = read_edge_list(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn edge_list_rejects_weight_overflow() {
+        let err = read_edge_list("0 1 18446744073709551615\n0 1 1\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Keeping the minimum never overflows.
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1, u64::MAX).add_edge(0, 1, 1);
+        b.merge_policy(crate::builder::MergePolicy::MinWeight);
+        assert_eq!(b.try_build().unwrap().edge_weights(0), &[1]);
     }
 
     #[test]

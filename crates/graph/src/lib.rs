@@ -32,7 +32,7 @@ pub mod io;
 pub mod stats;
 pub mod store;
 
-pub use builder::GraphBuilder;
+pub use builder::{BuildError, GraphBuilder};
 pub use compressed::CompressedGraph;
 pub use csr::{Graph, NodeId, Weight};
 pub use stats::GraphStats;

@@ -185,3 +185,63 @@ proptest! {
         prop_assert!(io::read_binary(&behind_magic[..]).is_err());
     }
 }
+
+/// One line of a hostile edge list: a valid edge, an id at or past the
+/// `# nodes 64` header (up to `u32::MAX` and beyond `u32`), a weight near
+/// `u64::MAX` (parallel copies overflow their sum) or past it, or
+/// arbitrary bytes.
+fn hostile_line() -> impl Strategy<Value = Vec<u8>> {
+    let text = |s: String| s.into_bytes();
+    prop_oneof![
+        (0u32..64, 0u32..64, 1u64..100).prop_map(move |(u, v, w)| text(format!("{u} {v} {w}"))),
+        (0u32..64, prop_oneof![64u64..1 << 40, Just(u32::MAX as u64)])
+            .prop_map(move |(u, big)| text(format!("{u} {big}"))),
+        (
+            0u32..3,
+            0u32..3,
+            prop_oneof![
+                Just(u64::MAX),
+                u64::MAX - 2..=u64::MAX,
+                1u64 << 63..=u64::MAX
+            ]
+        )
+            .prop_map(move |(u, v, w)| text(format!("{u} {v} {w}"))),
+        (0u32..64, 0u32..64).prop_map(move |(u, v)| text(format!("{u} {v} 18446744073709551616"))),
+        prop::collection::vec(0u8..=255, 0..24),
+    ]
+}
+
+proptest! {
+    /// Hostile input never panics the edge-list reader: a `# nodes 64`
+    /// file of valid, huge-id, huge-weight and garbage lines, cut at any
+    /// byte after its header or followed by garbage bytes, reads as `Ok`
+    /// or `Err`. Ids are bounded by the header, so nothing large is ever
+    /// allocated, and every graph that loads has exactly the declared 64
+    /// nodes.
+    #[test]
+    fn edge_list_reader_survives_truncation_and_garbage(
+        lines in prop::collection::vec(hostile_line(), 0..40),
+        cut in 0usize..10_000,
+        garbage in prop::collection::vec(0u8..=255, 0..96),
+    ) {
+        let header = b"# nodes 64\n".to_vec();
+        let mut file = header.clone();
+        for line in &lines {
+            file.extend_from_slice(line);
+            file.push(b'\n');
+        }
+        let end = header.len() + cut % (file.len() - header.len() + 1);
+        let mut with_garbage = header.clone();
+        with_garbage.extend_from_slice(&garbage);
+        for input in [&file[..], &file[..end], &with_garbage[..]] {
+            if let Ok(g) = io::read_edge_list(input) {
+                prop_assert_eq!(g.num_nodes(), 64);
+            }
+        }
+        // Two copies of a maximal weight always overflow their sum.
+        let mut overflow = file.clone();
+        overflow.extend_from_slice(b"1 2 18446744073709551615\n2 1 0\n1 2 1\n");
+        let err = io::read_edge_list(&overflow[..]).unwrap_err();
+        prop_assert!(err.kind() == std::io::ErrorKind::InvalidData, "{}", err);
+    }
+}

@@ -15,7 +15,8 @@ use kimbap_compiler::ReadDep;
 use kimbap_dist::{DistGraph, LocalId};
 use kimbap_graph::NodeId;
 use kimbap_npm::{
-    ChangedKeys, DynReduceOp, MapLayout, MapSnapshot, NodePropMap, Npm, SumReducer, Variant,
+    DynReduceOp, Frontier, FrontierBuilder, MapLayout, MapSnapshot, NodePropMap, Npm, SumReducer,
+    Variant,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -92,15 +93,6 @@ pub struct RoundActivity {
     pub sparse: bool,
     /// Wall-clock time of the reduce-compute phase.
     pub reduce_compute_nanos: u64,
-}
-
-/// The nodes a sparse round executes — Ligra's two frontier shapes.
-enum ActiveSet {
-    /// Sorted local ids; chosen when the frontier is far enough below the
-    /// extent that per-node dispatch beats scanning a bitmap.
-    List(Vec<LocalId>),
-    /// Bitmap over the iterator extent, scanned word by word.
-    Bits { words: Vec<u64>, count: usize },
 }
 
 /// A round-level checkpoint: everything needed to replay a BSP loop from
@@ -620,11 +612,12 @@ impl<'g> Engine<'g> {
         // round and post-recovery replays) and one-shot loops always run
         // dense: every node must execute at least once for the inductive
         // skip argument to hold.
-        let frontier = if repeat && !pin {
-            self.build_active_set(l)
+        let sparse = if repeat && !pin {
+            self.build_frontier(l)
         } else {
             None
         };
+        let frontier = sparse.unwrap_or_else(|| Frontier::dense(self.extent(l.iterator)));
         self.maps[l.quiesce_map].reset_updated();
         if let Some(plan) = &l.sparse {
             // Open a fresh delta window on every read map so the next
@@ -641,7 +634,7 @@ impl<'g> Engine<'g> {
         // quiescence check sit outside the four phases.
         for phase in &l.request_phases {
             let t = clock::now_nanos();
-            self.exec_parfor(ctx, l.iterator, &phase.body, None);
+            self.exec_parfor(ctx, &phase.body, &Frontier::dense(self.extent(l.iterator)));
             ctx.add_phase_nanos(SyncPhase::RequestCompute, clock::now_nanos().saturating_sub(t));
             let t = clock::now_nanos();
             ctx.set_deadline(Deadline::maybe("request_sync", timeout));
@@ -652,15 +645,16 @@ impl<'g> Engine<'g> {
         }
 
         let t = clock::now_nanos();
-        let (active, total) = self.exec_parfor(ctx, l.iterator, &l.body, frontier.as_ref());
+        self.exec_parfor(ctx, &l.body, &frontier);
         let reduce_compute_nanos = clock::now_nanos().saturating_sub(t);
         ctx.add_phase_nanos(SyncPhase::ReduceCompute, reduce_compute_nanos);
-        ctx.add_parfor_activity(active, total, frontier.is_some());
+        let (active, total) = (frontier.len() as u64, frontier.extent() as u64);
+        ctx.add_parfor_activity(active, total, frontier.is_sparse());
         self.activity.push(RoundActivity {
             round: self.rounds,
             active,
             total,
-            sparse: frontier.is_some(),
+            sparse: frontier.is_sparse(),
             reduce_compute_nanos,
         });
 
@@ -682,136 +676,55 @@ impl<'g> Engine<'g> {
         done
     }
 
-    /// Builds the active set for one round of `l` from the changed-key
+    /// Dense extent of a loop iterator on this host.
+    fn extent(&self, iterator: NodeIterator) -> usize {
+        match iterator {
+            NodeIterator::AllNodes => self.dg.num_local_nodes(),
+            NodeIterator::Masters => self.dg.num_masters(),
+        }
+    }
+
+    /// Builds the frontier for one round of `l` from the changed-key
     /// deltas of the maps its body reads, or `None` when the round must
     /// run dense: no certified [`kimbap_compiler::SparsePlan`], sparse
     /// execution disabled, or a read map's delta window was invalidated
     /// by an untracked mutation.
-    fn build_active_set(&self, l: &CompiledLoop) -> Option<ActiveSet> {
+    fn build_frontier(&self, l: &CompiledLoop) -> Option<Frontier> {
         let plan = l.sparse.as_ref()?;
         if !self.config.sparse {
             return None;
         }
-        let n = match l.iterator {
-            NodeIterator::AllNodes => self.dg.num_local_nodes(),
-            NodeIterator::Masters => self.dg.num_masters(),
-        };
-        let num_masters = self.dg.num_masters();
-
-        fn activate(words: &mut [u64], count: &mut usize, n: usize, lid: usize) {
-            if lid < n && words[lid / 64] & (1u64 << (lid % 64)) == 0 {
-                words[lid / 64] |= 1u64 << (lid % 64);
-                *count += 1;
-            }
-        }
-
-        let mut words = vec![0u64; n.div_ceil(64)];
-        let mut count = 0usize;
+        let mut b = FrontierBuilder::new(self.extent(l.iterator));
         for &(m, dep) in &plan.read_deps {
-            let ChangedKeys::Tracked { masters, remote } = self.maps[m].changed_keys() else {
-                return None;
-            };
-            // Under GAR a master's bit offset *is* its local id — both
-            // are the rank of the global id among this host's owned
-            // nodes — and a changed remote key `g` is the mirror proxy
-            // `num_masters + slot(g)`. A changed key re-activates its own
-            // reader; an adjacent-keyed read additionally re-activates
-            // the in-neighbors whose edge reads observe it.
-            for off in masters.iter_set() {
-                activate(&mut words, &mut count, n, off);
+            // A changed key re-activates its own reader; an
+            // adjacent-keyed read additionally re-activates the
+            // in-neighbors whose edge reads observe it.
+            for lid in self.maps[m].changed_keys().proxies(self.dg)? {
+                b.insert(lid);
                 if dep == ReadDep::Adjacent {
-                    for &src in self.dg.in_neighbors(off as LocalId) {
-                        activate(&mut words, &mut count, n, src as usize);
-                    }
-                }
-            }
-            for &g in remote {
-                let Some(slot) = self.dg.mirror_slot(g) else {
-                    continue;
-                };
-                let lid = num_masters + slot as usize;
-                activate(&mut words, &mut count, n, lid);
-                if dep == ReadDep::Adjacent {
-                    for &src in self.dg.in_neighbors(lid as LocalId) {
-                        activate(&mut words, &mut count, n, src as usize);
+                    for &src in self.dg.in_neighbors(lid) {
+                        b.insert(src);
                     }
                 }
             }
         }
-
-        // Ligra-style shape switch: materialize a list only well below
-        // the break-even where per-node dispatch beats scanning the
-        // bitmap (1/20th of the extent, mirroring Ligra's threshold).
-        Some(if count * 20 < n {
-            let mut list = Vec::with_capacity(count);
-            for (w, &word) in words.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    list.push((w * 64 + bits.trailing_zeros() as usize) as LocalId);
-                    bits &= bits - 1;
-                }
-            }
-            ActiveSet::List(list)
-        } else {
-            ActiveSet::Bits { words, count }
-        })
+        Some(b.finish())
     }
 
-    /// Runs `body` over the iterator's extent — dense, or restricted to
-    /// `active` — and returns `(nodes executed, dense extent)`.
-    fn exec_parfor(
-        &self,
-        ctx: &HostCtx,
-        iterator: NodeIterator,
-        body: &[Stmt],
-        active: Option<&ActiveSet>,
-    ) -> (u64, u64) {
-        let n = match iterator {
-            NodeIterator::AllNodes => self.dg.num_local_nodes(),
-            NodeIterator::Masters => self.dg.num_masters(),
-        };
+    /// Runs `body` on every node of `frontier`.
+    fn exec_parfor(&self, ctx: &HostCtx, body: &[Stmt], frontier: &Frontier) {
         let num_vars = self.plan.num_vars;
-        let run_one = |lid: LocalId, tid: usize, env: &mut Vec<u64>| {
-            let c = EvalCtx {
-                node: self.dg.local_to_global(lid) as u64,
-                edge: None,
-            };
-            self.exec_stmts(body, lid, tid, c, env);
-        };
-        match active {
-            None => {
-                ctx.par_for(0..n, |tid, range| {
-                    let mut env = vec![0u64; num_vars];
-                    for l in range {
-                        run_one(l as LocalId, tid, &mut env);
-                    }
-                });
-                (n as u64, n as u64)
-            }
-            Some(ActiveSet::List(list)) => {
-                ctx.par_for(0..list.len(), |tid, range| {
-                    let mut env = vec![0u64; num_vars];
-                    for i in range {
-                        run_one(list[i], tid, &mut env);
-                    }
-                });
-                (list.len() as u64, n as u64)
-            }
-            Some(ActiveSet::Bits { words, count }) => {
-                ctx.par_for(0..words.len(), |tid, wrange| {
-                    let mut env = vec![0u64; num_vars];
-                    for w in wrange {
-                        let mut bits = words[w];
-                        while bits != 0 {
-                            let lid = (w * 64 + bits.trailing_zeros() as usize) as LocalId;
-                            bits &= bits - 1;
-                            run_one(lid, tid, &mut env);
-                        }
-                    }
-                });
-                (*count as u64, n as u64)
-            }
-        }
+        frontier.par_for_with(
+            ctx,
+            || vec![0u64; num_vars],
+            |env, tid, lid| {
+                let c = EvalCtx {
+                    node: self.dg.local_to_global(lid) as u64,
+                    edge: None,
+                };
+                self.exec_stmts(body, lid, tid, c, env);
+            },
+        );
     }
 
     fn exec_stmts(&self, stmts: &[Stmt], lid: LocalId, tid: usize, c: EvalCtx, env: &mut [u64]) {

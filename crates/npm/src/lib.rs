@@ -58,6 +58,7 @@
 //! ```
 
 pub mod bitset;
+pub mod frontier;
 pub mod map;
 pub mod ops;
 mod partial;
@@ -66,6 +67,7 @@ pub mod table;
 pub mod value;
 
 pub use bitset::ConcurrentBitset;
+pub use frontier::{Frontier, FrontierBuilder};
 pub use map::{ChangedKeys, MapSnapshot, MirrorSync, NodePropMap, Npm, NpmReadStats, Variant};
 pub use ops::{DynReduceOp, Max, Min, Or, ReduceOp, Sum};
 pub use reducer::{BoolReducer, MinReducer, SumReducer};

@@ -242,16 +242,43 @@ enum Canonical<T: PropValue> {
         vals: ValueTable<T>,
         updated: ConcurrentBitset,
     },
-    /// Non-GAR: hash maps sharded by disjoint key range (one shard per pool
+    /// Non-GAR: hash maps sharded by [`KeySplit`] (one shard per pool
     /// thread, so the gather-reduce stays conflict-free).
     Sharded { shards: Vec<Mutex<HashMap<NodeId, T>>> },
 }
 
-/// Disjoint-range assignment of global keys to `parts` workers.
-#[inline]
-fn range_owner(key: NodeId, parts: usize, n: usize) -> usize {
-    debug_assert!((key as usize) < n.max(1));
-    ((key as u64 * parts as u64) / n.max(1) as u64) as usize
+/// Which pool thread combines, gathers and (without GAR) stores a key in
+/// a reduce-sync.
+///
+/// Owned keys are split into equal runs of master offsets, so every thread
+/// gets a share of this host's masters under either ownership scheme; a
+/// split of the *global* id space would put a host's blocked keys in only
+/// about T/H of the T ranges, one thread per host once hosts ≥ threads.
+/// Remote keys are combined once and shipped, so any fixed thread will
+/// do; a multiplicative hash spreads them.
+#[derive(Debug, Clone, Copy)]
+struct KeySplit {
+    own: FastOwn,
+    masters: u64,
+    threads: u64,
+}
+
+impl KeySplit {
+    fn new(own: FastOwn, masters: usize, threads: usize) -> Self {
+        KeySplit {
+            own,
+            masters: masters.max(1) as u64,
+            threads: threads as u64,
+        }
+    }
+
+    #[inline]
+    fn thread(self, key: NodeId) -> usize {
+        (match self.own.local_offset(key) {
+            Some(off) => off as u64 * self.threads / self.masters,
+            None => (key.wrapping_mul(0x9E37_79B9) as u64 * self.threads) >> 32,
+        }) as usize
+    }
 }
 
 /// Precomputed is-mine test for this host's key-distribution map.
@@ -331,6 +358,8 @@ pub struct Npm<'g, T: PropValue, Op: ReduceOp<T>> {
     key_own: Ownership,
     /// Precomputed is-mine test derived from `key_own` for the hot paths.
     fast_own: FastOwn,
+    /// Thread assignment of keys in the reduce-sync combine and gather.
+    split: KeySplit,
     canonical: Canonical<T>,
     /// Remote cache: sorted keys + parallel values (paper Fig. 6). Under
     /// GAR this only spills requested keys that have *no* mirror proxy
@@ -498,6 +527,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
             host,
             num_hosts,
             threads,
+            split: KeySplit::new(fast_own, key_own.num_masters(host), threads),
             key_own,
             fast_own,
             canonical,
@@ -591,8 +621,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
         match &self.canonical {
             Canonical::Dense { vals, .. } => vals.get(self.key_own.master_offset(key)),
             Canonical::Sharded { shards } => {
-                let shard = range_owner(key, self.threads, self.key_own.num_nodes());
-                shards[shard]
+                shards[self.split.thread(key)]
                     .lock()
                     .get(&key)
                     .copied()
@@ -608,7 +637,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 vals.set(self.key_own.master_offset(key), value);
             }
             Canonical::Sharded { shards } => {
-                let shard = range_owner(key, self.threads, self.key_own.num_nodes());
+                let shard = self.split.thread(key);
                 shards[shard].get_mut().insert(key, value);
             }
         }
@@ -874,7 +903,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// (Fig. 7), and serializes remote-owned pairs per destination host.
     ///
     /// The combine touches each entry exactly twice — once when its source
-    /// thread buckets it by `range_owner` (region A), once when its
+    /// thread buckets it by [`KeySplit`] (region A), once when its
     /// destination thread folds the bucket into its own emptied buffer
     /// (region B) — O(entries) total, instead of the previous
     /// all-threads-rescan-everything O(threads × entries).
@@ -884,7 +913,7 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// previously self-delivered, which the traffic stats never counted,
     /// so observable message/byte counts are unchanged.)
     fn cf_combine_scatter(&mut self, ctx: &HostCtx) -> Vec<Vec<u8>> {
-        let n = self.key_own.num_nodes();
+        let split = self.split;
         let threads = self.threads;
         let op = self.op;
         let fast = self.fast_own;
@@ -908,10 +937,10 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                 let mut row: Vec<_> = cells[tid].iter().map(|c| c.lock()).collect();
                 buf.drain_local(|off, v| {
                     let k = fast.key_at(off);
-                    row[range_owner(k, threads, n)].push((k, v));
+                    row[split.thread(k)].push((k, v));
                 });
                 buf.drain_remote(|k, v| {
-                    row[range_owner(k, threads, n)].push((k, v));
+                    row[split.thread(k)].push((k, v));
                 });
             });
             let tls = &self.tls;
@@ -984,9 +1013,8 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
     /// like the fused loop it replaced, so pipelining never changes
     /// results.
     fn gather_fold(&mut self, ctx: &HostCtx, received: &[Vec<u8>], locals: bool) {
-        let n = self.key_own.num_nodes();
         let op = self.op;
-        let threads = self.threads;
+        let split = self.split;
         let host = self.host;
         let key_own = self.key_own.clone();
         let fast = self.fast_own;
@@ -1017,14 +1045,14 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                         // SAFETY: distinct tids per worker.
                         let mine = unsafe { local_pairs.slot(tid) };
                         for &(k, v) in mine.iter() {
-                            debug_assert_eq!(range_owner(k, threads, n), tid);
+                            debug_assert_eq!(split.thread(k), tid);
                             apply(k, v);
                         }
                         mine.clear();
                     }
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if range_owner(k, threads, n) != tid {
+                            if split.thread(k) != tid {
                                 continue;
                             }
                             apply(k, v);
@@ -1049,14 +1077,14 @@ impl<'g, T: PropValue, Op: ReduceOp<T>> Npm<'g, T, Op> {
                         // SAFETY: distinct tids per worker.
                         let mine = unsafe { local_pairs.slot(tid) };
                         for &(k, v) in mine.iter() {
-                            debug_assert_eq!(range_owner(k, threads, n), tid);
+                            debug_assert_eq!(split.thread(k), tid);
                             apply(k, v);
                         }
                         mine.clear();
                     }
                     for buf in received {
                         for (k, v) in iter_decoded::<(NodeId, T)>(buf) {
-                            if range_owner(k, threads, n) != tid {
+                            if split.thread(k) != tid {
                                 continue;
                             }
                             apply(k, v);
@@ -1591,6 +1619,36 @@ mod tests {
         let g = gen::grid_road(6, 6, 3);
         let parts = partition(&g, policy, hosts);
         Cluster::with_threads(hosts, threads).run(|ctx| f(ctx, &parts[ctx.host()]))
+    }
+
+    #[test]
+    fn combine_and_gather_split_owned_keys_across_all_threads() {
+        // Hosts ≥ threads is where a split of the global id space starved
+        // threads: a host's blocked keys filled only ~T/H of the ranges.
+        for hosts in [2, 3, 4] {
+            for threads in [2, 3] {
+                for variant in [Variant::SgrCf, Variant::SgrCfGar] {
+                    let shares = with_cluster(hosts, threads, Policy::EdgeCutBlocked, |ctx, dg| {
+                        let mut npm: Npm<u64, Sum> = Npm::with_variant(dg, ctx, Sum, variant);
+                        for g in 0..dg.num_global_nodes() as NodeId {
+                            npm.reduce(0, g, 1);
+                        }
+                        drop(npm.cf_combine_scatter(ctx));
+                        // Thread `tid` gathers exactly `local_pairs[tid]`.
+                        npm.local_pairs
+                            .iter_mut()
+                            .map(|p| p.len())
+                            .collect::<Vec<_>>()
+                    });
+                    for (h, share) in shares.iter().enumerate() {
+                        assert!(
+                            share.iter().all(|&n| n > 0),
+                            "{variant} {hosts}x{threads}: host {h} thread shares {share:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -98,6 +98,14 @@ echo "==> TCP grow smoke (a real worker process joins mid-run; output diffed)"
 diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-grown.txt"
 echo "    grown (3 -> 4 host) and fault-free labels identical"
 
+echo "==> frontier smoke (cc-lp's sparse rounds vs cc-sv on a high-diameter grid)"
+# cc-lp spends most of its ~300 rounds on small frontiers here; cc-sv
+# never builds one, so agreement checks the sparse rounds end to end.
+./target/release/kimbap run cc-sv "$SMOKE_DIR/grid.kg" --hosts 3 --threads 2 \
+    --out "$SMOKE_DIR/grid-sv.txt"
+diff "$SMOKE_DIR/grid-clean.txt" "$SMOKE_DIR/grid-sv.txt"
+echo "    cc-lp (frontier) and cc-sv labels identical"
+
 echo "==> compressed-vs-raw smoke (cc-lp + louvain, inproc and sim, diffed)"
 ./target/release/kimbap run cc-lp "$SMOKE_DIR/g.kg" --hosts 3 --threads 2 \
     --seed 1 --out "$SMOKE_DIR/cc-comp.txt"
